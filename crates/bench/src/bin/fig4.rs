@@ -71,8 +71,8 @@ fn main() {
             println!(
                 "  p={:<4} predicted {:>12.1} J   measured {:>12.1} J   error {:+6.2}%",
                 pt.p,
-                pt.predicted_j,
-                pt.measured_j,
+                pt.predicted_j.raw(),
+                pt.measured_j.raw(),
                 pt.error_pct()
             );
         }

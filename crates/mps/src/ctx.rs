@@ -1,43 +1,36 @@
 //! Per-rank execution context: work charging and point-to-point messaging.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::time::Duration;
 
 use netsim::Hockney;
 use simcluster::units::Seconds;
 
 use crate::envelope::{Envelope, INTERNAL_TAG_BASE};
 use crate::rankcore::RankCore;
-use crate::registry::{Registry, Verdict, WaitTarget};
+use crate::registry::{Inbox, Registry};
 use crate::runtime::RankAbort;
 use crate::sched::{SchedGrant, SchedOp};
 use crate::stats::Counters;
-use crate::trace::{CommEvent, CommLog, CommOp};
+use crate::trace::{CommEvent, CommLog, CommOp, WaitEdge};
 use crate::world::World;
-
-/// How often a blocked receive re-checks the wait-for graph.
-const DEADLOCK_POLL: Duration = Duration::from_millis(10);
 
 /// The handle a rank's program uses to charge work and communicate.
 ///
 /// Created by [`crate::run`]; one per rank, owned by the rank's thread.
 /// All execution-agnostic accounting lives in the embedded
-/// [`RankCore`]; this type adds the thread-runtime transport (channels,
-/// pending buffers, the deadlock-detection registry).
+/// [`RankCore`]; this type adds the thread-runtime transport (the rank's
+/// inbox, per-source pending buffers, the deadlock-detection registry).
 pub struct Ctx<'w> {
     pub(crate) core: RankCore<'w>,
-    pub(crate) senders: Vec<Sender<Envelope>>,
-    pub(crate) receivers: Vec<Receiver<Envelope>>,
+    pub(crate) inbox: Inbox,
+    /// `pending[src]`: envelopes from `src` pulled off the inbox but not
+    /// yet matched by a receive, in send order.
     pub(crate) pending: Vec<VecDeque<Envelope>>,
     pub(crate) coll_seq: u64,
     pub(crate) hockney: Hockney,
-    pub(crate) registry: Arc<Registry>,
+    pub(crate) registry: &'w Registry,
     pub(crate) comm: CommLog,
     pub(crate) vclock: Vec<u64>,
-    /// Last stable deadlock observation `(verdict, chain progress)`.
-    pub(crate) last_probe: Option<(Verdict, Vec<u64>)>,
 }
 
 impl<'w> Ctx<'w> {
@@ -170,9 +163,10 @@ impl<'w> Ctx<'w> {
     /// Receive the next message carrying `tag` from *any* rank (the
     /// `MPI_ANY_SOURCE` analog). Returns the matched source and payload.
     ///
-    /// Unlike [`Ctx::recv`], which is deterministic (per-pair channels are
-    /// FIFO), the match order of `recv_any` genuinely depends on the
-    /// schedule: two concurrent senders can be matched in either order.
+    /// Unlike [`Ctx::recv`], which is deterministic (each sender's messages
+    /// arrive in send order), the match order of `recv_any` genuinely
+    /// depends on the schedule: two concurrent senders can be matched in
+    /// either order.
     /// This is exactly the nondeterminism the `verify` crate's
     /// schedule-space explorer enumerates.
     ///
@@ -181,35 +175,10 @@ impl<'w> Ctx<'w> {
     /// [`crate::try_run`] the latter becomes a [`crate::RunError`]).
     pub fn recv_any<T: Send + 'static>(&mut self, tag: u64) -> (usize, Vec<T>) {
         assert!(tag < INTERNAL_TAG_BASE, "user tags must be < 2^32");
+        // In a controlled run the scheduler resolves the wildcard to a
+        // concrete source whose message is already in flight.
         let source = self.permit(SchedOp::RecvAny { tag });
-        let env = match source {
-            // Controlled run: the scheduler resolved the wildcard to a
-            // concrete source whose message is already in flight.
-            Some(from) => self.take_envelope(from, tag),
-            None => self.take_envelope_any(tag),
-        };
-        let from = env.src;
-        let waited = self.core.account_recv(env.arrival_s);
-        for (mine, theirs) in self.vclock.iter_mut().zip(&env.vc) {
-            *mine = (*mine).max(*theirs);
-        }
-        self.vclock[self.core.rank] += 1;
-        self.comm.events.push(CommEvent {
-            op: CommOp::Recv { from },
-            tag,
-            bytes: env.bytes,
-            time_s: self.now(),
-            waited_s: waited.raw(),
-            vc: self.vclock.clone(),
-        });
-        let payload = *env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from rank {from} \
-                     ({} bytes)",
-                self.core.rank, env.bytes
-            )
-        });
-        (from, payload)
+        self.complete_recv(source, tag)
     }
 
     /// Exchange with a partner: send `data`, then receive the partner's
@@ -243,12 +212,7 @@ impl<'w> Ctx<'w> {
         let hook = self.core.world.sched.clone()?;
         match hook.permit(self.core.rank, op) {
             SchedGrant::Proceed { source } => source,
-            SchedGrant::Abort => {
-                self.registry.clear_blocked(self.core.rank);
-                self.drain_unconsumed();
-                let comm = std::mem::take(&mut self.comm);
-                std::panic::panic_any(RankAbort { comm });
-            }
+            SchedGrant::Abort => self.abort(),
         }
     }
 
@@ -294,11 +258,7 @@ impl<'w> Ctx<'w> {
             vc: self.vclock.clone(),
             payload: Box::new(data),
         };
-        self.registry.note_send(self.core.rank, to);
-        if self.senders[to].send(env).is_err() {
-            self.abort_if_dead();
-            panic!("receiver rank {to} hung up — did a rank panic?");
-        }
+        self.registry.post(to, env);
     }
 
     pub(crate) fn recv_raw<T: Send + 'static>(&mut self, from: usize, tag: u64) -> Vec<T> {
@@ -309,7 +269,19 @@ impl<'w> Ctx<'w> {
         );
         assert!(from != self.core.rank, "self-receives are not allowed");
         self.permit(SchedOp::Recv { from, tag });
+        self.complete_recv(Some(from), tag).1
+    }
+
+    /// Take the matching envelope (see [`Self::take_envelope`]), charge
+    /// its wait, merge its vector clock and trace the receive. Returns the
+    /// source and the payload.
+    fn complete_recv<T: Send + 'static>(
+        &mut self,
+        from: Option<usize>,
+        tag: u64,
+    ) -> (usize, Vec<T>) {
         let env = self.take_envelope(from, tag);
+        let from = env.src;
         let waited = self.core.account_recv(env.arrival_s);
         for (mine, theirs) in self.vclock.iter_mut().zip(&env.vc) {
             *mine = (*mine).max(*theirs);
@@ -323,171 +295,65 @@ impl<'w> Ctx<'w> {
             waited_s: waited.raw(),
             vc: self.vclock.clone(),
         });
-        *env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
+        let payload = *env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
             panic!(
                 "rank {}: type mismatch receiving tag {tag} from rank {from} \
                      ({} bytes)",
                 self.core.rank, env.bytes
             )
-        })
+        });
+        (from, payload)
     }
 
-    /// Pull the first envelope from `from` matching `tag`, buffering any
-    /// earlier non-matching messages. While the matching message has not
-    /// arrived, the rank registers as blocked and participates in
-    /// deadlock detection.
-    fn take_envelope(&mut self, from: usize, tag: u64) -> Envelope {
-        if let Some(pos) = self.pending[from].iter().position(|e| e.tag == tag) {
-            return self.pending[from].remove(pos).expect("position exists");
-        }
-        self.registry.set_blocked(
-            self.core.rank,
-            WaitTarget {
-                on: Some(from),
-                tag,
-            },
-        );
-        self.last_probe = None;
-        loop {
-            self.abort_if_dead();
-            match self.receivers[from].recv_timeout(DEADLOCK_POLL) {
-                Ok(env) => {
-                    self.registry.note_drain(from, self.core.rank);
-                    self.registry.bump_progress(self.core.rank);
-                    self.last_probe = None;
-                    if env.tag == tag {
-                        self.registry.clear_blocked(self.core.rank);
-                        return env;
-                    }
-                    self.pending[from].push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => self.deadlock_check(),
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.abort_if_dead();
-                    // If the awaited sender *finished cleanly*, the message
-                    // can never arrive: that is a communication bug (e.g. a
-                    // mismatched tag), not a crash. Declare the run dead
-                    // with the stuck chain so `try_run` reports it.
-                    if let Some((verdict, _)) = self.registry.probe(self.core.rank) {
-                        self.registry.declare_dead(verdict);
-                        self.abort_if_dead();
-                    }
-                    panic!(
-                        "rank {}: sender rank {from} hung up — did a rank panic?",
-                        self.core.rank
-                    );
-                }
+    /// Pull the first envelope matching `tag` from `from` (from any rank
+    /// when `None`). Earlier pending envelopes are matched first; while none
+    /// matches, the rank registers as blocked and waits on its inbox,
+    /// buffering each non-matching arrival in `pending`.
+    fn take_envelope(&mut self, from: Option<usize>, tag: u64) -> Envelope {
+        let sources = from.map_or(0..self.core.size, |f| f..f + 1);
+        for src in sources {
+            if let Some(pos) = self.pending[src].iter().position(|e| e.tag == tag) {
+                return self.pending[src].remove(pos).expect("position exists");
             }
         }
-    }
-
-    /// Pull the first envelope matching `tag` from *any* source, buffering
-    /// non-matching messages. The blocked registration carries a wildcard
-    /// target (`on: None`), so deadlock detection falls back to the
-    /// registry's global terminal-state check.
-    fn take_envelope_any(&mut self, tag: u64) -> Envelope {
-        let sources: Vec<usize> = (0..self.core.size)
-            .filter(|&s| s != self.core.rank)
-            .collect();
-        for &from in &sources {
-            if let Some(pos) = self.pending[from].iter().position(|e| e.tag == tag) {
-                return self.pending[from].remove(pos).expect("position exists");
-            }
-        }
-        self.registry
-            .set_blocked(self.core.rank, WaitTarget { on: None, tag });
-        self.last_probe = None;
-        loop {
-            self.abort_if_dead();
-            let mut drained = false;
-            let mut disconnected = 0;
-            for &from in &sources {
-                loop {
-                    match self.receivers[from].try_recv() {
-                        Ok(env) => {
-                            self.registry.note_drain(from, self.core.rank);
-                            self.registry.bump_progress(self.core.rank);
-                            self.last_probe = None;
-                            drained = true;
-                            if env.tag == tag {
-                                self.registry.clear_blocked(self.core.rank);
-                                return env;
-                            }
-                            self.pending[from].push_back(env);
-                        }
-                        Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                        Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                            disconnected += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            if drained {
-                continue;
-            }
-            if disconnected == sources.len() {
-                self.abort_if_dead();
-                // Every possible sender hung up with no match buffered: the
-                // awaited message can never arrive (see the sourced-receive
-                // disconnect path above for the rationale).
-                if let Some((verdict, _)) = self.registry.probe(self.core.rank) {
-                    self.registry.declare_dead(verdict);
-                    self.abort_if_dead();
-                }
-                panic!(
-                    "rank {}: all senders hung up — did a rank panic?",
-                    self.core.rank
-                );
-            }
-            std::thread::sleep(DEADLOCK_POLL);
-            self.deadlock_check();
-        }
-    }
-
-    /// One deadlock-detection poll: walk the wait-for graph and declare the
-    /// run dead when the same terminal chain is observed twice in a row
-    /// with no progress on any chain member.
-    fn deadlock_check(&mut self) {
-        let Some((verdict, progress)) = self.registry.probe(self.core.rank) else {
-            self.last_probe = None;
-            return;
+        let wait = WaitEdge {
+            from_rank: self.core.rank,
+            on_rank: from,
+            tag,
         };
-        if let Some((prev_verdict, prev_progress)) = &self.last_probe {
-            if *prev_verdict == verdict && *prev_progress == progress {
-                self.registry.declare_dead(verdict.clone());
-                self.abort_if_dead();
+        loop {
+            self.registry.block(wait);
+            // `None` is the registry's abort message: the run is dead.
+            let Ok(Some(env)) = self.inbox.recv() else {
+                self.abort();
+            };
+            self.registry.woke(self.core.rank);
+            if env.tag == tag && from.is_none_or(|f| f == env.src) {
+                return env;
             }
-        }
-        self.last_probe = Some((verdict, progress));
-    }
-
-    /// Unwind this rank with its partial trace if the run has been declared
-    /// dead. The payload is caught by [`crate::try_run`].
-    fn abort_if_dead(&mut self) {
-        if self.registry.is_dead() {
-            self.registry.clear_blocked(self.core.rank);
-            // Fold buffered-but-unmatched messages into the partial trace:
-            // the analyzer infers tag mismatches from them.
-            self.drain_unconsumed();
-            let comm = std::mem::take(&mut self.comm);
-            std::panic::panic_any(RankAbort { comm });
+            self.pending[env.src].push_back(env);
         }
     }
 
-    /// Drain everything still sitting in this rank's inbox into the trace's
-    /// `unconsumed` list (called by the runtime after the program returns).
+    /// Unwind this rank with its partial trace (a deadlock verdict or a
+    /// scheduler abort). The payload is caught by [`crate::try_run`].
+    fn abort(&mut self) -> ! {
+        // Fold buffered-but-unmatched messages into the partial trace: the
+        // analyzer infers tag mismatches from them.
+        self.drain_unconsumed();
+        let comm = std::mem::take(&mut self.comm);
+        std::panic::panic_any(RankAbort { comm });
+    }
+
+    /// Move everything still in this rank's inbox and pending buffers into
+    /// the trace's `unconsumed` list, grouped by source (called by the
+    /// runtime after the program returns).
     pub(crate) fn drain_unconsumed(&mut self) {
-        for from in 0..self.core.size {
-            if from == self.core.rank {
-                continue;
-            }
-            while let Some(env) = self.pending[from].pop_front() {
-                self.comm.unconsumed.push((env.src, env.tag, env.bytes));
-            }
-            while let Ok(env) = self.receivers[from].try_recv() {
-                self.comm.unconsumed.push((env.src, env.tag, env.bytes));
-            }
+        for env in self.inbox.try_iter().flatten() {
+            self.pending[env.src].push_back(env);
+        }
+        for env in self.pending.iter_mut().flat_map(|q| q.drain(..)) {
+            self.comm.unconsumed.push((env.src, env.tag, env.bytes));
         }
     }
 

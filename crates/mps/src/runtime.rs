@@ -1,13 +1,12 @@
 //! Spawn and join simulated ranks; collect the run report.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Once};
+use std::panic::AssertUnwindSafe;
+use std::sync::Once;
 
 use simcluster::{ComponentEnergy, EnergyMeter, SegmentLog};
 
 use crate::ctx::Ctx;
-use crate::envelope::Envelope;
 use crate::rankcore::RankCore;
 use crate::registry::Registry;
 use crate::stats::Counters;
@@ -189,51 +188,32 @@ where
     );
     install_abort_hook();
 
-    // One unbounded channel per ordered rank pair: txs[s][d] sends s -> d,
-    // rxs[d][s] receives s -> d.
-    let mut txs: Vec<Vec<std::sync::mpsc::Sender<Envelope>>> =
-        (0..p).map(|_| Vec::with_capacity(p)).collect();
-    let mut rxs: Vec<Vec<Option<std::sync::mpsc::Receiver<Envelope>>>> =
-        (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    for s in 0..p {
-        for rx_row in &mut rxs {
-            let (tx, rx) = channel::<Envelope>();
-            txs[s].push(tx);
-            rx_row[s] = Some(rx);
-        }
-    }
-
     let hockney = world.hockney();
     let program = &program;
-    let registry = Arc::new(Registry::new(p));
+    let (registry, inboxes) = Registry::new(p);
+    let registry = &registry;
 
     let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..p).map(|_| None).collect();
     let mut aborted: Vec<CommLog> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
-        for (rank, rx_row) in rxs.into_iter().enumerate() {
-            // Senders for this rank: the tx of channel rank -> d for each d.
-            let my_senders: Vec<_> = (0..p).map(|d| txs[rank][d].clone()).collect();
-            let receivers: Vec<_> = rx_row
-                .into_iter()
-                .map(|r| r.expect("every pair wired"))
-                .collect();
-            let registry = Arc::clone(&registry);
+        for (rank, inbox) in inboxes.into_iter().enumerate() {
             let handle = scope.spawn(move || {
                 let mut ctx = Ctx {
                     core: RankCore::new(rank, p, world, true),
-                    senders: my_senders,
-                    receivers,
+                    inbox,
                     pending: (0..p).map(|_| VecDeque::new()).collect(),
                     coll_seq: 0,
                     hockney,
-                    registry: Arc::clone(&registry),
+                    registry,
                     comm: CommLog::new(rank),
                     vclock: vec![0; p],
-                    last_probe: None,
                 };
-                let result = program(&mut ctx);
-                registry.mark_finished(rank);
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
+                // A rank that panicked is finished too: its peers get a
+                // verdict instead of waiting on it forever.
+                registry.finish();
+                let result = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                 if let Some(hook) = &world.sched {
                     hook.rank_finished(rank);
                 }
@@ -252,10 +232,6 @@ where
             });
             handles.push(handle);
         }
-        // Drop the original senders: each rank now holds the only clones of
-        // its outgoing channels, so a panicking rank disconnects its peers
-        // (turning would-be hangs into loud failures).
-        drop(txs);
         for handle in handles {
             match handle.join() {
                 Ok(outcome) => {
@@ -270,7 +246,7 @@ where
         }
     });
 
-    if let Some(verdict) = registry.take_verdict() {
+    if !aborted.is_empty() {
         // Assemble the per-rank traces: completed ranks contribute full
         // logs, aborted ranks the partial logs carried by their unwind.
         let mut comm: Vec<CommLog> = (0..p).map(CommLog::new).collect();
@@ -282,47 +258,17 @@ where
             let rank = log.rank;
             comm[rank] = log;
         }
+        // Ranks unwound without a registry verdict: a scheduler hook tore
+        // the run down (`SchedGrant::Abort`).
+        let Some(waits) = registry.verdict() else {
+            return Err(RunError::SchedulerAbort { comm });
+        };
+        let info = DeadlockInfo::from_waits(&waits, comm);
         // Forensics: every thread's recent spans/events, captured before
         // the error surfaces (the rank threads are already joined, but
         // their flight rings outlive them).
-        obs::flight::record(
-            "mps.deadlock",
-            "event",
-            0.0,
-            &[
-                ("cyclic", verdict.cyclic.to_string()),
-                (
-                    "edges",
-                    verdict
-                        .edges
-                        .iter()
-                        .map(|e| format!("{e:?}"))
-                        .collect::<Vec<_>>()
-                        .join(";"),
-                ),
-            ],
-        );
-        let _ = obs::flight::dump("mps-deadlock");
-        return Err(RunError::Deadlock(DeadlockInfo {
-            edges: verdict.edges,
-            cyclic: verdict.cyclic,
-            comm,
-        }));
-    }
-
-    if !aborted.is_empty() {
-        // Ranks unwound without a registry verdict: a scheduler hook tore
-        // the run down (`SchedGrant::Abort`).
-        let mut comm: Vec<CommLog> = (0..p).map(CommLog::new).collect();
-        for o in outcomes.into_iter().flatten() {
-            let rank = o.comm.rank;
-            comm[rank] = o.comm;
-        }
-        for log in aborted {
-            let rank = log.rank;
-            comm[rank] = log;
-        }
-        return Err(RunError::SchedulerAbort { comm });
+        info.record_flight("mps");
+        return Err(RunError::Deadlock(info));
     }
 
     let report = RunReport {

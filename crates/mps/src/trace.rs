@@ -180,7 +180,8 @@ impl std::error::Error for RunError {}
 pub struct DeadlockInfo {
     /// The blocked chain that triggered detection, in wait order. For a
     /// cyclic deadlock the last edge waits on the first edge's rank; for a
-    /// stuck chain the last edge waits on a finished rank.
+    /// stuck chain the last edge waits on a finished rank. A wildcard
+    /// wait lists every blocked rank (see [`DeadlockInfo::from_waits`]).
     pub edges: Vec<WaitEdge>,
     /// True when the chain closes into a cycle; false when it ends at a
     /// finished rank.
@@ -188,6 +189,69 @@ pub struct DeadlockInfo {
     /// Partial communication traces collected from every rank (finished
     /// ranks contribute complete traces).
     pub comm: Vec<CommLog>,
+}
+
+impl DeadlockInfo {
+    /// The verdict on a quiescent run, shared by every executor.
+    ///
+    /// `waits[r]` is rank `r`'s blocked receive (with `from_rank == r`), or
+    /// `None` for a finished rank; `comm` holds the per-rank traces. The
+    /// walk starts at the lowest blocked rank and follows `on_rank` until
+    /// the chain closes into a cycle (reported trimmed to the cycle),
+    /// reaches a finished rank (a stuck chain), or reaches a wildcard
+    /// receive. Any rank could satisfy a wildcard, so then every blocked
+    /// rank is reported in rank order, cyclic unless it is the only one.
+    ///
+    /// # Panics
+    /// Panics if no rank is blocked.
+    #[must_use]
+    pub fn from_waits(waits: &[Option<WaitEdge>], comm: Vec<CommLog>) -> Self {
+        let mut cur = waits
+            .iter()
+            .position(Option::is_some)
+            .expect("a deadlock has a blocked rank");
+        let mut chain: Vec<WaitEdge> = Vec::new();
+        let mut on_chain = vec![false; waits.len()];
+        let (edges, cyclic) = loop {
+            let edge = waits[cur].expect("the walk visits blocked ranks only");
+            let Some(on) = edge.on_rank else {
+                let blocked: Vec<WaitEdge> = waits.iter().flatten().copied().collect();
+                let cyclic = blocked.len() > 1;
+                break (blocked, cyclic);
+            };
+            chain.push(edge);
+            on_chain[cur] = true;
+            if on_chain[on] {
+                let start = chain.iter().position(|e| e.from_rank == on);
+                break (chain.split_off(start.expect("cycle entry on chain")), true);
+            }
+            if waits[on].is_none() {
+                break (chain, false);
+            }
+            cur = on;
+        };
+        Self {
+            edges,
+            cyclic,
+            comm,
+        }
+    }
+
+    /// Record the verdict in the flight recorder as `<source>.deadlock`
+    /// and dump every thread's recent spans and events.
+    pub fn record_flight(&self, source: &str) {
+        let edges: Vec<String> = self.edges.iter().map(|e| format!("{e:?}")).collect();
+        obs::flight::record(
+            &format!("{source}.deadlock"),
+            "event",
+            0.0,
+            &[
+                ("cyclic", self.cyclic.to_string()),
+                ("edges", edges.join(";")),
+            ],
+        );
+        let _ = obs::flight::dump(&format!("{source}-deadlock"));
+    }
 }
 
 impl std::fmt::Display for DeadlockInfo {

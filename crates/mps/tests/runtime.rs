@@ -92,6 +92,21 @@ fn type_mismatch_on_recv_panics() {
     });
 }
 
+/// A rank's panic surfaces as itself: its blocked peer gets a deadlock
+/// verdict and unwinds quietly instead of hanging or masking the panic.
+#[test]
+#[should_panic(expected = "boom")]
+fn rank_panic_propagates_while_a_peer_waits_on_it() {
+    let w = world();
+    run(&w, 2, |ctx| {
+        if ctx.rank() == 0 {
+            let _ = ctx.recv::<u64>(1, 0);
+        } else {
+            panic!("boom");
+        }
+    });
+}
+
 #[test]
 fn barrier_synchronizes_clocks() {
     let w = world();

@@ -20,12 +20,11 @@
 //!
 //! Deposits are instantaneous (a send's envelope is buffered at its
 //! receiver before the sender's next step executes), so there are never
-//! undelivered messages "in flight" between tasks. The starved-host
-//! condition that makes the thread runtime's detector hedge is therefore
-//! trivially decidable here: an empty event queue with live tasks *is*
-//! the terminal wait-for graph. The engine reports the same
-//! [`DeadlockInfo`] shape — edges, cyclicity, per-rank partial traces —
-//! as `mps::try_run`.
+//! undelivered messages "in flight" between tasks, and the thread
+//! runtime's quiescence rule reduces to: an empty event queue with live
+//! tasks *is* the terminal wait-for graph. The verdict comes from the same
+//! walk as `mps::try_run` ([`DeadlockInfo::from_waits`]), so both report
+//! identical edges, cyclicity and per-rank partial traces.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -212,40 +211,22 @@ fn sample(timeline: &mut Timeline, tasks: &[RankTask], t_s: f64, ready: usize, l
 /// Assemble the terminal wait-for graph: every live task is parked on a
 /// receive that no remaining send can satisfy.
 fn deadlock(tasks: &mut [RankTask]) -> RunError {
-    let mut edges = Vec::new();
-    for t in tasks.iter() {
-        match t.blocked {
-            Blocked::On { from, tag } => edges.push(WaitEdge {
+    let waits: Vec<Option<WaitEdge>> = tasks
+        .iter()
+        .map(|t| {
+            let (on_rank, tag) = match t.blocked {
+                Blocked::On { from, tag } => (Some(from), tag),
+                Blocked::Any { tag } => (None, tag),
+                Blocked::Done => return None,
+                Blocked::No => unreachable!("an empty event queue leaves no runnable task"),
+            };
+            Some(WaitEdge {
                 from_rank: t.rank(),
-                on_rank: Some(from),
+                on_rank,
                 tag,
-            }),
-            Blocked::Any { tag } => edges.push(WaitEdge {
-                from_rank: t.rank(),
-                on_rank: None,
-                tag,
-            }),
-            Blocked::No | Blocked::Done => {}
-        }
-    }
-    let cyclic = has_cycle(tasks);
-    obs::flight::record(
-        "simrt.deadlock",
-        "event",
-        0.0,
-        &[
-            ("cyclic", cyclic.to_string()),
-            (
-                "edges",
-                edges
-                    .iter()
-                    .map(|e| format!("{e:?}"))
-                    .collect::<Vec<_>>()
-                    .join(";"),
-            ),
-        ],
-    );
-    let _ = obs::flight::dump("simrt-deadlock");
+            })
+        })
+        .collect();
     let comm = tasks
         .iter_mut()
         .map(|t| {
@@ -253,51 +234,9 @@ fn deadlock(tasks: &mut [RankTask]) -> RunError {
             std::mem::take(&mut t.comm)
         })
         .collect();
-    RunError::Deadlock(DeadlockInfo {
-        edges,
-        cyclic,
-        comm,
-    })
-}
-
-/// Is there a cycle in the wait-for graph? Each blocked task has at most
-/// one successor (the rank it waits on, when that rank is itself still
-/// live), so a stamped walk per start node suffices.
-fn has_cycle(tasks: &[RankTask]) -> bool {
-    let succ: Vec<Option<usize>> = tasks
-        .iter()
-        .map(|t| match t.blocked {
-            Blocked::On { from, .. } if !tasks[from].done() => Some(from),
-            _ => None,
-        })
-        .collect();
-    // 0 = unvisited, 1 = on the current walk, 2 = exhausted.
-    let mut state = vec![0u8; tasks.len()];
-    for start in 0..tasks.len() {
-        if state[start] != 0 {
-            continue;
-        }
-        let mut path = Vec::new();
-        let mut node = start;
-        loop {
-            if state[node] == 1 {
-                return true; // walked back into the current path
-            }
-            if state[node] == 2 {
-                break; // joins an already-exhausted walk
-            }
-            state[node] = 1;
-            path.push(node);
-            match succ[node] {
-                Some(next) => node = next,
-                None => break,
-            }
-        }
-        for visited in path {
-            state[visited] = 2;
-        }
-    }
-    false
+    let info = DeadlockInfo::from_waits(&waits, comm);
+    info.record_flight("simrt");
+    RunError::Deadlock(info)
 }
 
 /// Write the configured trace files at run end, with the engine's

@@ -10,14 +10,13 @@
 //!
 //! ## Why one inbox per task
 //!
-//! The thread runtime keeps one channel per ordered rank pair — `p²`
-//! channels, fine at `p ≤` a few hundred, fatal at `p = 4096` (16.7M
-//! `VecDeque`s). A task instead holds a *single* arrival-ordered inbox and
-//! matches receives by a linear `(src, tag)` scan. Because deposits
-//! preserve each sender's program order, the first `(src, tag)` match in
-//! arrival order is exactly the per-source-FIFO-with-tag-skip match the
-//! thread runtime performs, so the two transports consume identical
-//! message sequences. In-flight envelopes for the NPB collectives are
+//! One queue per ordered rank pair would be `p²` queues — 16.7M
+//! `VecDeque`s at `p = 4096`. A task instead holds a *single*
+//! arrival-ordered inbox and matches receives by a linear `(src, tag)`
+//! scan. Because deposits preserve each sender's program order, the first
+//! `(src, tag)` match in arrival order is exactly the
+//! per-source-FIFO-with-tag-skip match the thread runtime performs, so the
+//! two transports consume identical message sequences. In-flight envelopes for the NPB collectives are
 //! bounded by ~`p`, so the scan is short in practice.
 
 use std::collections::VecDeque;
