@@ -6,7 +6,7 @@
 //!
 //! Results land in `BENCH_simrt.json` at the repo root — a `bench/2`
 //! snapshot with per-case `ns_per_iter` / `throughput_per_s` gauges for
-//! the sequential and pooled engines, the rank-step latency
+//! the engine, the rank-step latency
 //! log-histogram (`bench.rank_scaling.step_latency_s`), engine event
 //! rates (`bench.rank_scaling.*.events_per_s`), per-run step/send/wake
 //! counts, and the process peak RSS after the largest run
@@ -47,18 +47,10 @@ fn main() {
     println!("rank_scaling/ft_p{P}: NPB FT class S on the simrt event engine");
     let mut cases: Vec<CaseStats> = Vec::new();
     let mut engine_stats: Vec<(&str, simrt::EngineStats)> = Vec::new();
-    let configs = [
-        (
-            "ft_p1024_seq",
-            EngineConfig::default().with_detail(Detail::Off),
-        ),
-        (
-            "ft_p1024_pool4",
-            EngineConfig::default()
-                .with_detail(Detail::Off)
-                .with_pool(pool::PoolConfig::with_threads(4)),
-        ),
-    ];
+    let configs = [(
+        "ft_p1024_seq",
+        EngineConfig::default().with_detail(Detail::Off),
+    )];
     for (name, cfg) in &configs {
         let mut last_stats = simrt::EngineStats::default();
         let case = time_case(name, ITERS, || {
@@ -93,8 +85,6 @@ fn main() {
             .set(stats.sends as f64);
         reg.gauge(&format!("bench.rank_scaling.{name}.wakes"))
             .set(stats.wakes as f64);
-        reg.gauge(&format!("bench.rank_scaling.{name}.supersteps"))
-            .set(stats.supersteps as f64);
         println!(
             "  {name}: {events_per_s:.0} events/s ({} steps, {} sends)",
             stats.steps, stats.sends

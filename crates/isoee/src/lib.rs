@@ -37,8 +37,8 @@
 //! * [`batch`] — the batched columnar sweep kernel: Eq. 13/15 terms
 //!   factored into per-axis invariant and varying parts, whole grid rows
 //!   evaluated into flat struct-of-arrays buffers, bit-identical to
-//!   [`model`] (the sweeps in [`scaling`] route through it; set
-//!   `ISOEE_SCALAR_SWEEP=1` to force the scalar oracle).
+//!   [`model`] (the sweeps in [`scaling`] route through it; the
+//!   `*_scalar_with` variants keep the per-point scalar oracle).
 //! * [`interval`] — outward-rounded interval evaluation of the model over
 //!   parameter *boxes*: ahead-of-time certification that a whole sweep
 //!   grid is free of degenerate baselines (or the exact offending cell).

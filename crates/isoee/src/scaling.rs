@@ -48,22 +48,13 @@
 //! buffers. The kernel is pinned **bit-identical** to the scalar model
 //! (`tests/batch_equivalence.rs`), so routing through it changes no
 //! output, only throughput. The scalar path is retained as the
-//! differential-testing oracle: set the `ISOEE_SCALAR_SWEEP` environment
-//! variable (any non-empty value other than `0`) to force every sweep
-//! through per-point [`crate::model`] calls, or call the public
-//! `*_scalar_with` variants directly (tests and benches prefer those —
-//! no env-var races).
+//! differential-testing oracle: the public `*_scalar_with` variants
+//! evaluate every point through per-point [`crate::model`] calls.
 
 use crate::apps::AppModel;
 use crate::model::{self, ModelError};
 use crate::params::{AppParams, MachineParams};
 pub use pool::PoolConfig;
-
-/// Whether the `ISOEE_SCALAR_SWEEP` env var forces the scalar oracle.
-/// Read per entry-point call, so a test can flip it between sweeps.
-pub(crate) fn scalar_sweep_forced() -> bool {
-    std::env::var("ISOEE_SCALAR_SWEEP").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// A sweep hit a parameter point the ratio model cannot evaluate.
 ///
@@ -228,8 +219,7 @@ pub fn ee_surface_pf(
 }
 
 /// [`ee_surface_pf`] on an explicit pool config; rows (one per frequency)
-/// evaluate in parallel through the batch kernel (or the scalar oracle
-/// when `ISOEE_SCALAR_SWEEP` is set).
+/// evaluate in parallel through the batch kernel.
 ///
 /// # Errors
 /// Returns the first degenerate evaluation in row-major order as a
@@ -242,11 +232,7 @@ pub fn ee_surface_pf_with(
     ps: &[usize],
     fs: &[f64],
 ) -> Result<Surface, SweepError> {
-    if scalar_sweep_forced() {
-        ee_surface_pf_scalar_with(cfg, app, base, n, ps, fs)
-    } else {
-        ee_surface_pf_batch_with(cfg, app, base, n, ps, fs)
-    }
+    ee_surface_pf_batch_with(cfg, app, base, n, ps, fs)
 }
 
 /// The scalar differential oracle for [`ee_surface_pf_with`]: per-point
@@ -320,8 +306,7 @@ pub fn ee_surface_pn(
 }
 
 /// [`ee_surface_pn`] on an explicit pool config; rows (one per workload)
-/// evaluate in parallel through the batch kernel (or the scalar oracle
-/// when `ISOEE_SCALAR_SWEEP` is set).
+/// evaluate in parallel through the batch kernel.
 ///
 /// # Errors
 /// Returns the first degenerate evaluation in row-major order as a
@@ -333,11 +318,7 @@ pub fn ee_surface_pn_with(
     ps: &[usize],
     ns: &[f64],
 ) -> Result<Surface, SweepError> {
-    if scalar_sweep_forced() {
-        ee_surface_pn_scalar_with(cfg, app, mach, ps, ns)
-    } else {
-        ee_surface_pn_batch_with(cfg, app, mach, ps, ns)
-    }
+    ee_surface_pn_batch_with(cfg, app, mach, ps, ns)
 }
 
 /// The scalar differential oracle for [`ee_surface_pn_with`] (see
@@ -412,7 +393,7 @@ pub fn iso_ee_workload(
     n_lo: f64,
     n_hi: f64,
 ) -> Result<Option<f64>, ModelError> {
-    iso_ee_workload_impl(app, mach, p, target, n_lo, n_hi, scalar_sweep_forced())
+    iso_ee_workload_impl(app, mach, p, target, n_lo, n_hi, false)
 }
 
 /// [`iso_ee_workload`] with the kernel choice explicit.
@@ -497,16 +478,7 @@ pub fn iso_ee_contour_with(
     n_lo: f64,
     n_hi: f64,
 ) -> Result<Vec<Option<f64>>, SweepError> {
-    iso_ee_contour_impl(
-        cfg,
-        app,
-        mach,
-        ps,
-        target,
-        n_lo,
-        n_hi,
-        scalar_sweep_forced(),
-    )
+    iso_ee_contour_impl(cfg, app, mach, ps, target, n_lo, n_hi, false)
 }
 
 /// The scalar differential oracle for [`iso_ee_contour_with`]: every
@@ -589,7 +561,7 @@ pub fn best_frequency_with(
     p: usize,
     freqs: &[f64],
 ) -> Result<(f64, f64), SweepError> {
-    best_frequency_impl(cfg, app, base, n, p, freqs, scalar_sweep_forced())
+    best_frequency_impl(cfg, app, base, n, p, freqs, false)
 }
 
 /// The scalar differential oracle for [`best_frequency_with`]: every

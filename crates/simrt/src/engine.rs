@@ -1,5 +1,5 @@
 //! The discrete-event engine: a global virtual-time event queue driving
-//! rank tasks, sequentially or in pooled supersteps.
+//! rank tasks on the caller thread.
 //!
 //! ## Why the schedule cannot change the answer
 //!
@@ -10,11 +10,11 @@
 //! plan every receive names its source, and deposits preserve each
 //! sender's program order, so the envelope a receive matches — and hence
 //! every clock value, counter, and segment — is independent of the order
-//! in which the engine happens to resume runnable tasks. Sequential
-//! virtual-time order and pooled supersteps are therefore *bit-identical*;
-//! the event queue exists for cache locality and a meaningful timeline,
-//! not for correctness. Wildcard plans fall back to the sequential path,
-//! whose heap order is still deterministic run-to-run.
+//! in which the engine happens to resume runnable tasks, and the engine
+//! matches the thread runtime bit for bit. The event queue exists for
+//! cache locality and a meaningful timeline, not for correctness. For
+//! wildcard plans the heap order fixes which sender a wildcard matches,
+//! deterministically run-to-run.
 //!
 //! ## Deadlock
 //!
@@ -33,7 +33,6 @@ use mps::{DeadlockInfo, RunError, RunReport, WaitEdge, World};
 use netsim::Hockney;
 use obs::Timeline;
 use plan::CommPlan;
-use pool::PoolConfig;
 
 use crate::task::{Blocked, Paused, RankTask};
 use crate::{EngineConfig, EngineReport, EngineStats};
@@ -54,19 +53,7 @@ pub(crate) fn run(
     let mut stats = EngineStats::default();
     let mut timeline = Timeline::new(cfg.timeline_capacity);
 
-    if let (Some(pool_cfg), false, true) = (&cfg.pool, plan.has_wildcard(), p > 1) {
-        superstep(
-            pool_cfg,
-            world,
-            &hockney,
-            &mut tasks,
-            &mut stats,
-            &mut timeline,
-            cfg,
-        );
-    } else {
-        sequential(world, &hockney, &mut tasks, &mut stats, &mut timeline, cfg);
-    }
+    event_loop(world, &hockney, &mut tasks, &mut stats, &mut timeline, cfg);
 
     stats.steps = tasks.iter().map(|t| t.steps).sum();
     stats.sends = tasks.iter().map(|t| t.sends).sum();
@@ -92,11 +79,11 @@ pub(crate) fn run(
     })
 }
 
-/// The sequential engine: one binary heap ordered by `(resume time,
+/// The event loop: one binary heap ordered by `(resume time,
 /// rank)`. Runnable tasks live in the heap; blocked tasks are re-inserted
 /// by the deposit that unblocks them, keyed by the virtual time at which
 /// their receive completes.
-fn sequential(
+fn event_loop(
     world: &World,
     hockney: &Hockney,
     tasks: &mut [RankTask],
@@ -127,7 +114,6 @@ fn sequential(
             let dst_task = &mut tasks[dst];
             if dst_task.wants(&env) {
                 dst_task.blocked = Blocked::No;
-                dst_task.runnable = true;
                 let key = dst_task.core.now().max(env.arrival_s);
                 heap.push(Reverse((key.to_bits(), dst)));
                 stats.wakes += 1;
@@ -137,56 +123,6 @@ fn sequential(
         if cfg.timeline_every > 0 && executed >= next_sample {
             next_sample += cfg.timeline_every;
             sample(timeline, tasks, t_hi, heap.len(), live);
-        }
-    }
-}
-
-/// The pooled engine: advance every runnable task in parallel (each slice
-/// runs until its task blocks), then deposit all outboxes in sender-rank
-/// order and wake the tasks they unblock. One barrier per superstep.
-fn superstep(
-    pool_cfg: &PoolConfig,
-    world: &World,
-    hockney: &Hockney,
-    tasks: &mut [RankTask],
-    stats: &mut EngineStats,
-    timeline: &mut Timeline,
-    cfg: &EngineConfig,
-) {
-    let p = tasks.len();
-    let mut ready = p;
-    let mut t_hi = 0.0f64;
-
-    while ready > 0 {
-        stats.supersteps += 1;
-        pool::parallel_for_each_mut(pool_cfg, tasks, |_, task| {
-            if task.runnable {
-                task.advance(world, hockney);
-            }
-        });
-        // Deposits in sender-rank order: arbitrary but fixed, and — for
-        // the wildcard-free plans this mode accepts — irrelevant to what
-        // any receive matches (per-source order is all that counts).
-        for src in 0..p {
-            if tasks[src].outbox.is_empty() {
-                continue;
-            }
-            let outbox = std::mem::take(&mut tasks[src].outbox);
-            for (dst, env) in outbox {
-                let dst_task = &mut tasks[dst];
-                if dst_task.wants(&env) {
-                    dst_task.blocked = Blocked::No;
-                    dst_task.runnable = true;
-                    stats.wakes += 1;
-                }
-                dst_task.inbox.push_back(env);
-            }
-        }
-        ready = tasks.iter().filter(|t| t.runnable).count();
-        if cfg.timeline_every > 0 && stats.supersteps.is_multiple_of(cfg.timeline_every) {
-            let live = tasks.iter().filter(|t| !t.done()).count();
-            t_hi = tasks.iter().map(|t| t.core.now()).fold(t_hi, f64::max);
-            sample(timeline, tasks, t_hi, ready, live);
         }
     }
 }

@@ -5,8 +5,7 @@
 //! `p = 1024+` scaling studies. This crate runs the *same* rank programs —
 //! [`plan::CommPlan`]s, streamed by [`plan::TimedCursor`] — as resumable
 //! state-machine tasks over a global virtual-time event queue, multiplexed
-//! on the caller thread or a [`pool`] of workers. One process simulates
-//! NPB FT/EP/CG at `p = 4096`.
+//! on the caller thread. One process simulates NPB FT/EP/CG at `p = 4096`.
 //!
 //! Accounting is shared with the thread runtime through [`mps::RankCore`],
 //! so per-collective message/byte counters, segment logs, energy, and span
@@ -30,30 +29,23 @@
 //! assert!(out.report.span() > 0.0);
 //! ```
 //!
-//! ## Execution modes
+//! ## Execution
 //!
-//! * **Sequential** (default): a binary heap ordered by `(virtual resume
-//!   time, rank)`; one task runs until it blocks, its sends wake parked
-//!   receivers. Deterministic run-to-run.
-//! * **Superstep** ([`EngineConfig::with_pool`]): every runnable task is
-//!   advanced in parallel via [`pool::parallel_for_each_mut`], then all
-//!   sends are deposited in rank order. Bit-identical to sequential for
-//!   wildcard-free plans (wildcard plans silently fall back to
-//!   sequential, whose schedule is fixed).
-//! * **Controlled** (`world.sched` set): thread-per-rank under the
-//!   [`mps::SchedulerHook`] protocol, so the verify crate's schedule-space
-//!   explorer drives engine-backed runs unchanged.
+//! One sequential event loop: a binary heap ordered by `(virtual resume
+//! time, rank)`; one task runs until it blocks, and its sends wake parked
+//! receivers. Deterministic run-to-run. Schedule-space exploration of a
+//! plan runs on the thread runtime instead
+//! (`verify::Explorer::explore_plan`), so a world with a scheduler hook
+//! installed is rejected here.
 
 #![forbid(unsafe_code)]
 
-mod controlled;
 mod engine;
 mod task;
 
 use mps::{RunError, RunReport, World};
 use obs::Timeline;
 use plan::CommPlan;
-use pool::PoolConfig;
 
 /// With [`Detail::Auto`], runs at `p` up to this keep full per-segment
 /// logs, span tracks and comm traces; larger runs aggregate.
@@ -72,17 +64,14 @@ pub enum Detail {
     Off,
 }
 
-/// Engine tuning knobs. The default — sequential, auto detail, no
-/// timeline — is right for tests and differential comparisons.
+/// Engine tuning knobs. The default — auto detail, no timeline — is
+/// right for tests and differential comparisons.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Per-rank logging fidelity.
     pub detail: Detail,
-    /// Advance runnable tasks on a worker pool, one superstep per
-    /// barrier. `None` runs sequentially on the caller.
-    pub pool: Option<PoolConfig>,
-    /// Sample the engine timeline every this many steps (sequential) or
-    /// supersteps (pooled). `0` disables the timeline.
+    /// Sample the engine timeline every this many steps. `0` disables
+    /// the timeline.
     pub timeline_every: u64,
     /// Ring capacity per timeline series.
     pub timeline_capacity: usize,
@@ -92,7 +81,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             detail: Detail::Auto,
-            pool: None,
             timeline_every: 0,
             timeline_capacity: 4096,
         }
@@ -107,14 +95,7 @@ impl EngineConfig {
         self
     }
 
-    /// Advance tasks in pooled supersteps with this pool configuration.
-    #[must_use]
-    pub fn with_pool(mut self, pool: PoolConfig) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Enable timeline sampling every `every` steps/supersteps.
+    /// Enable timeline sampling every `every` steps.
     #[must_use]
     pub fn with_timeline_every(mut self, every: u64) -> Self {
         self.timeline_every = every;
@@ -140,8 +121,6 @@ pub struct EngineStats {
     pub sends: u64,
     /// Blocked tasks woken by a deposit.
     pub wakes: u64,
-    /// Supersteps executed (pooled mode only).
-    pub supersteps: u64,
     /// Host wall-clock time of the run, seconds.
     pub wall_s: f64,
 }
@@ -206,8 +185,7 @@ pub fn run_plan(world: &World, p: usize, plan: &CommPlan) -> EngineReport {
 ///
 /// # Errors
 /// [`RunError::Deadlock`] when every live task is parked on a receive no
-/// remaining send can satisfy; [`RunError::SchedulerAbort`] when an
-/// installed scheduler hook tears the run down.
+/// remaining send can satisfy.
 pub fn try_run_plan(world: &World, p: usize, plan: &CommPlan) -> Result<EngineReport, RunError> {
     try_run_plan_with(&EngineConfig::default(), world, p, plan)
 }
@@ -215,16 +193,15 @@ pub fn try_run_plan(world: &World, p: usize, plan: &CommPlan) -> Result<EngineRe
 /// [`try_run_plan`] with explicit engine configuration.
 ///
 /// Unlike the thread runtime there is no `p ≤ total_cores` cap: ranks are
-/// tasks, and `p` in the thousands is the point. When `world.sched` is
-/// set the engine switches to thread-per-rank controlled mode (see
-/// [`mps::SchedulerHook`]); `cfg.pool` and the timeline are ignored
-/// there.
+/// tasks, and `p` in the thousands is the point.
 ///
 /// # Errors
 /// See [`try_run_plan`].
 ///
 /// # Panics
-/// Panics if `p == 0` or on plan shape violations.
+/// Panics if `p == 0`, if `world.sched` holds a scheduler hook (explore
+/// schedules with `verify::Explorer::explore_plan`, which runs the plan
+/// on the thread runtime), or on plan shape violations.
 pub fn try_run_plan_with(
     cfg: &EngineConfig,
     world: &World,
@@ -232,8 +209,10 @@ pub fn try_run_plan_with(
     plan: &CommPlan,
 ) -> Result<EngineReport, RunError> {
     assert!(p > 0, "need at least one rank");
-    if world.sched.is_some() {
-        return controlled::run(cfg, world, p, plan);
-    }
+    assert!(
+        world.sched.is_none(),
+        "simrt runs no scheduler hook; explore schedules with \
+         verify::Explorer::explore_plan on the thread runtime"
+    );
     engine::run(cfg, world, p, plan)
 }

@@ -90,8 +90,6 @@ pub(crate) struct RankTask<'a> {
     /// Sends produced by the current resume slice, `(dst, envelope)`;
     /// drained and deposited by the engine after the slice.
     pub(crate) outbox: Vec<(usize, SimEnvelope)>,
-    /// Superstep-mode flag: advance this task in the next batch.
-    pub(crate) runnable: bool,
     /// Steps executed so far (engine stats).
     pub(crate) steps: u64,
     /// Sends executed so far (engine stats).
@@ -117,7 +115,6 @@ impl<'a> RankTask<'a> {
             vclock: if detail { vec![0; p] } else { Vec::new() },
             comm: CommLog::new(rank),
             outbox: Vec::new(),
-            runnable: true,
             steps: 0,
             sends: 0,
             detail,
@@ -157,7 +154,6 @@ impl<'a> RankTask<'a> {
                             self.rank()
                         );
                         self.blocked = Blocked::Done;
-                        self.runnable = false;
                         return Paused::Finished;
                     }
                 },
@@ -194,7 +190,6 @@ impl<'a> RankTask<'a> {
                         Some(i) => self.consume(i),
                         None => {
                             self.blocked = Blocked::On { from, tag };
-                            self.runnable = false;
                             self.pending = Some(Step::Recv { from, tag });
                             return Paused::Blocked;
                         }
@@ -204,7 +199,6 @@ impl<'a> RankTask<'a> {
                     Some(i) => self.consume(i),
                     None => {
                         self.blocked = Blocked::Any { tag };
-                        self.runnable = false;
                         self.pending = Some(Step::RecvAny { tag });
                         return Paused::Blocked;
                     }

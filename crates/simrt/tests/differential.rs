@@ -147,20 +147,6 @@ fn engine_is_bit_identical_to_thread_runtime_on_npb() {
     }
 }
 
-#[test]
-fn pooled_supersteps_are_bit_identical_to_sequential() {
-    let _guard = registry_lock().lock().unwrap();
-    let w = world();
-    for (name, plan) in plans() {
-        let sequential = observe_engine(&w, 8, &plan, &EngineConfig::default());
-        for threads in [1usize, 2, 4] {
-            let cfg = EngineConfig::default().with_pool(pool::PoolConfig::with_threads(threads));
-            let pooled = observe_engine(&w, 8, &plan, &cfg);
-            assert_identical(&format!("{name} pool={threads}"), &sequential, &pooled, &w);
-        }
-    }
-}
-
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }

@@ -12,8 +12,7 @@
 //! cached with different rounding than the scalar evaluation order.
 //!
 //! The scalar oracle is reached through the public `*_scalar_with`
-//! variants rather than the `ISOEE_SCALAR_SWEEP` env switch, so this
-//! suite is free of env-var races under parallel test execution.
+//! variants.
 
 use isoee::apps::{AppModel, CgModel, EpModel, FtModel};
 use isoee::interval::certify_pf_grid;
